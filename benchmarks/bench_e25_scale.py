@@ -1,28 +1,25 @@
-"""E25 — scale-out certification: work-stealing vs static frontier split.
+"""E25 — scale-out certification: the one task scheduler, and disk BFS.
 
-The scale layer (:mod:`repro.check.scale`) replaces the static round-1
-round-robin split with a worker-count-independent task decomposition
-(``TARGET_TASKS`` tasks from a multi-depth frontier, deduped by orbit
-before sharding), a cross-worker shared transposition table
-(``SharedMemoTable``: the builder pre-seeds it, workers publish decided
-subtrees), and a disk-backed BFS mode whose frontier spills to pickle
-segments with checkpoint/resume.
+The scale layer (:mod:`repro.check.scale`) certifies every engine run
+through one worker-count-independent task decomposition (about
+``TARGET_TASKS`` tasks from a multi-depth frontier, deduped by orbit
+before sharding), run in-process at one worker and by a process pool
+above that, plus a disk-backed BFS mode whose frontier spills to flat
+packed-int segments with checkpoint/resume.  Each pool worker's memo is
+seeded with the builder's candidate lists through the pool initializer,
+so the kset n=5 root list is enumerated once, not once per task.
 
-Expected shape: the static split pays the frontier imbalance — on ``kset``
-n=5 pruned (1 009 981 histories) one shard dominates while siblings idle —
-and re-derives every shared prefix per worker.  Work stealing keeps all
-workers busy to the end and the shared table turns the builder's interior
-walk into cross-worker cache hits, so ``steal-4w`` beats ``static-4w``
-even on a single-core box (the win is eliminated work, not concurrency).
-The PR-7 baseline for this exact workload was 136 s; the acceptance bar is
-≥2×, the committed artifact records ~8×.  Schedulers agree exactly on
-histories/executions/pruned and the violation set (differentially tested
-in ``tests/check/test_scale.py``); ``visited``/``rounds_executed`` are
-scheduler-dependent work counters and are deliberately not compared here.
+Expected shape: ``steal-1w`` and ``steal-4w`` drain the same 64 tasks, so
+they agree on every deterministic count; ``kset-n5-pruned`` (1 009 981
+histories) is the headline cell.  The original static split certified
+that workload in 136 s; the acceptance bar is ≥2×.  The static round-robin split this
+experiment used to compare against was removed, together with its cells.
+Configurations agree exactly on histories/executions/pruned and the violation
+set, and match the replay oracle (``tests/check/test_scale.py``).
 
-``shared_hits`` is environmental (zero when ``/dev/shm`` is unavailable
-and the pool falls back to per-worker memos), so it is volatile in the
-committed artifact; CI asserts it from a live run instead.
+``shared_hits`` counts candidate lists served from a process memo; it
+depends on how tasks land on workers, so it is volatile in the committed
+artifact and CI asserts it from a live run instead.
 """
 
 import time
@@ -40,21 +37,17 @@ WORKLOADS = {
 }
 
 CONFIGS = {
-    # The PR-7 baseline: shard the round-1 frontier round-robin, one chunk
-    # per worker, no work sharing after the split.
-    "static-4w": dict(workers=4, scheduler="static"),
-    # Work stealing in-process (no pool): the builder memo plays the shared
-    # table's role.  One cell so the artifact records the serial floor.
-    "steal-1w": dict(workers=1, scheduler="steal"),
-    "steal-4w": dict(workers=4, scheduler="steal"),
+    # The task list in-process (no pool), sharing the builder's memo.
+    "steal-1w": dict(workers=1),
+    "steal-4w": dict(workers=4),
     # Disk-backed BFS over the same task decomposition (ephemeral
     # checkpoint directory; resume correctness is tested in
     # tests/check/test_scale.py).
     "bfs-4w": dict(workers=4, bfs=True),
 }
 
-# kset n=5 is the headline cell; keep its grid row to the two configs the
-# acceptance criterion compares so `regen_bench --check` stays affordable.
+# kset n=5 is the headline cell; keep its grid row to the one pool run so
+# `regen_bench --check` stays affordable.
 GRID = [
     (w, c)
     for w in WORKLOADS
@@ -83,17 +76,17 @@ def run_cell(ctx) -> dict:
         "pruned": result.pruned,
         "workers": result.workers,
         "tasks": scale.get("tasks", scale.get("tasks_done", 0)),
-        # Environmental: depends on /dev/shm availability and pool timing.
-        # Volatile in the committed artifact (scripts/regen_bench.py); CI
-        # asserts cross-worker hits > 0 from a live run.
+        # Environmental: depends on which tasks share a process.  Volatile
+        # in the committed artifact (scripts/regen_bench.py); CI asserts
+        # hits > 0 from a live run.
         "shared_hits": scale.get("shared_hits", 0),
     }
 
 
 EXPERIMENT = Experiment(
     id="E25",
-    title="E25 (extension): scale-out certification — work-stealing "
-    "scheduler and shared transposition table vs static frontier split",
+    title="E25 (extension): scale-out certification — one task scheduler "
+    "in-process and in a pool, and disk-backed BFS",
     grid=Grid.explicit("workload,config", GRID),
     run_cell=run_cell,
     samples=1,  # the n=5 cells are wall-clock heavy; counts are exact
@@ -108,14 +101,13 @@ EXPERIMENT = Experiment(
         ("tasks", lambda c: c["tasks"] or "—"),
         ("shared hits", lambda c: c["shared_hits"] or "—"),
     ),
-    notes="Schedulers agree exactly on histories/executions/pruned and the "
+    notes="Configurations agree exactly on histories/executions/pruned and the "
     "violation set; shared_hits is environmental (volatile in the "
-    "artifact).  PR-7 static baseline for kset-n5-pruned: 136 s.",
+    "artifact).  Original static-split time for kset-n5-pruned: 136 s.",
 )
 
 
-@pytest.mark.parametrize("config", ["static-4w", "steal-1w", "steal-4w",
-                                    "bfs-4w"])
+@pytest.mark.parametrize("config", ["steal-1w", "steal-4w", "bfs-4w"])
 def test_e25_cell_counts(benchmark, config):
     cell = benchmark.pedantic(
         run_one_cell, args=(EXPERIMENT,),
@@ -124,10 +116,7 @@ def test_e25_cell_counts(benchmark, config):
     )
     assert cell["histories"] == 4235
     assert cell["executions"] == 4235
-    # The static split predates the scale layer and records no task
-    # decomposition; every scale-layer scheduler does.
-    if config != "static-4w":
-        assert cell["tasks"] > 0
+    assert cell["tasks"] > 0
 
 
 def test_e25_schedulers_agree(benchmark):
@@ -143,15 +132,13 @@ def test_e25_schedulers_agree(benchmark):
         }
 
     cells = benchmark.pedantic(run_small, rounds=1, iterations=1)
-    base = cells["static-4w"]
+    base = cells["steal-1w"]
     for config, cell in cells.items():
         assert cell["histories"] == base["histories"], config
         assert cell["executions"] == base["executions"], config
         assert cell["pruned"] == base["pruned"], config
-    # Work stealing decomposes independently of the worker count; the
-    # static split records no task decomposition at all.
-    assert cells["steal-4w"]["tasks"] == cells["steal-1w"]["tasks"]
-    assert base["tasks"] == 0
+    # The task list is decomposed independently of the worker count.
+    assert cells["steal-4w"]["tasks"] == base["tasks"]
 
 
 def test_e25_report(benchmark):

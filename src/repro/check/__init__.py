@@ -7,15 +7,18 @@ this package checks that quantifier uniformly instead of piecemeal:
   factory, a model predicate, an input space and trace invariants; the
   registry maps names to the library's specs (:mod:`repro.check.specs`).
 - :mod:`repro.check.explore` — bounded model checking (exhaustive for small
-  ``n``, with decided-prefix pruning and a parallel round-1 frontier) and
-  seeded fuzzing for larger ``n``.
+  ``n``, with decided-prefix pruning) and seeded fuzzing for larger ``n``.
+  Exhaustive runs take one of two paths: the engine path below, or the
+  replay loop, a deliberately simple oracle that re-runs every history
+  from round 1 and shares no code with the engine path's scheduling.
 - :mod:`repro.check.engine` — the incremental exploration engine behind
   ``explore(engine="incremental")``: executor forking (one protocol round
   per tree edge), candidate memoization and orbit-level symmetry reduction.
-- :mod:`repro.check.scale` — the scale-out layer: the work-stealing task
-  scheduler behind ``explore(workers=...)``, the cross-worker shared
-  transposition table, and disk-backed BFS certification with
-  checkpoint/resume (``explore_bfs``; ``repro check --bfs/--resume``).
+- :mod:`repro.check.scale` — the one exploration scheduler: a fixed,
+  worker-count-independent task decomposition, run in-process at
+  ``workers=1`` and by a process pool above that, plus disk-backed BFS
+  certification with checkpoint/resume (``explore_bfs``; ``repro check
+  --bfs/--resume``).
 - :mod:`repro.check.shrink` — delta-debugging of failing histories down to
   minimal replayable counterexamples, serialized as ``tests/golden/``
   artifacts.
@@ -43,7 +46,7 @@ from repro.check.engine import (
 from repro.check.explore import ExploreResult, Violation, explore, fuzz
 from repro.check.scale import (
     CHECKPOINT_VERSION,
-    SharedMemoTable,
+    CheckpointError,
     explore_bfs,
 )
 from repro.check.shrink import (
@@ -67,8 +70,8 @@ __all__ = [
     "explore",
     "explore_bfs",
     "fuzz",
-    "SharedMemoTable",
     "CHECKPOINT_VERSION",
+    "CheckpointError",
     "IncrementalExplorer",
     "EngineRun",
     "EngineStats",

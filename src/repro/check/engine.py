@@ -45,6 +45,7 @@ replay path — :func:`repro.check.explore.explore` routes automatically.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
@@ -72,6 +73,10 @@ __all__ = [
 MAX_SYMMETRY_N = 6
 
 
+#: :class:`EngineStats` fields that depend on task placement (environmental).
+_ENV_FIELDS = ("shared_hits", "shared_misses")
+
+
 @dataclass
 class EngineStats:
     """Work counters for one :class:`IncrementalExplorer` (accumulating).
@@ -94,29 +99,41 @@ class EngineStats:
     memo_hits_packed: int = 0  # packed-keyed candidate lists served from memo
     memo_misses_packed: int = 0  # packed-keyed candidate lists enumerated
     aggregated_subtrees: int = 0  # decided subtrees counted without expansion
-    # Cross-process memo traffic (repro.check.scale's shared table).  These
-    # three are *environmental*: which worker computes a candidate list and
-    # which loads it from the shared table depends on scheduling races, so
+    # Per-process memo traffic (:class:`_WorkerMemo`).  These two are
+    # *environmental*: which tasks share a process, and so which of them
+    # finds a candidate list already computed, depends on scheduling, so
     # they vary run to run and across worker counts.  Every other field
-    # stays deterministic — a shared-table load is counted as a packed memo
-    # miss too (the list was not in the local memo), keeping the
-    # deterministic counters identical whether the table was on or off.
-    shared_hits: int = 0  # candidate lists loaded from the cross-worker table
-    shared_misses: int = 0  # probes that found no published entry
-    shared_publishes: int = 0  # locally computed lists published to the table
+    # stays deterministic — a load from the process memo is counted as a
+    # memo miss too (the list was not in the explorer's own memo), keeping
+    # the deterministic counters identical however tasks are placed.
+    shared_hits: int = 0  # candidate lists loaded from the process memo
+    shared_misses: int = 0  # probes that found no entry there
 
     def snapshot(self) -> dict[str, int]:
         """Plain picklable counter snapshot (the shared obs contract)."""
-        return obs.field_snapshot(self)
+        return obs.field_snapshot(self, _STAT_FIELDS)
 
     def merge(self, other: "EngineStats | dict[str, int]") -> None:
         """Add another explorer's counters (or their snapshot) into this one."""
         snapshot = other.snapshot() if isinstance(other, EngineStats) else other
-        obs.merge_field_snapshots(self, snapshot)
+        obs.merge_field_snapshots(self, snapshot, _STAT_FIELDS)
 
     def publish(self, metrics: "obs.Metrics", prefix: str = "engine") -> None:
-        """Export the counters as ``{prefix}.{field}`` metrics."""
-        obs.publish_fields(metrics, prefix, self)
+        """Export the counters as ``{prefix}.{field}`` metrics.
+
+        The process-memo traffic goes to the environmental half, so the
+        deterministic half is the same at every worker count.
+        """
+        snapshot = self.snapshot()
+        for name in _ENV_FIELDS:
+            value = snapshot.pop(name)
+            if metrics.enabled:
+                metrics.counter(f"{prefix}.{name}", env=True).inc(value)
+        obs.publish_fields(metrics, prefix, self, fields=snapshot)
+
+
+#: Every task snapshots and merges its stats, so resolve the fields once.
+_STAT_FIELDS = tuple(f.name for f in dataclasses.fields(EngineStats))
 
 
 class EngineRun(NamedTuple):
@@ -143,6 +160,35 @@ class EngineRun(NamedTuple):
     pruned: bool = False
     count: int = 1
     expand: Callable[[], Iterator[DHistory]] | None = None
+
+
+class _WorkerMemo:
+    """Pure-function caches shared by the explorers of one process and call.
+
+    A certification builds a fresh :class:`IncrementalExplorer` per task,
+    so that every deterministic counter is a function of the task alone.
+    What the explorers share through this memo is work whose result
+    depends only on its key, so sharing it can skip recomputation but never
+    change a verdict or a count:
+
+    - ``packed`` — packed candidate lists per folded predicate state (the
+      task builder's lists seed it, and with it each pool worker);
+    - ``set`` — the set path's candidate lists per ``(inputs, extension
+      state)``.  The lists do not depend on the inputs: the inputs are in
+      the key only to keep the set kernel's sharing within one input
+      assignment, because E22 measures the packed kernel against this
+      reference kernel (shared across floodset n=3's eight inputs, the
+      set runs get ~4x faster and E22's packed-vs-set ratio check fails);
+    - ``images`` — symmetry-table permutation images per round, for both
+      table kinds (they depend only on ``n``).
+    """
+
+    __slots__ = ("packed", "set", "images")
+
+    def __init__(self, packed: dict[Any, list[int]] | None = None) -> None:
+        self.packed: dict[Any, list[int]] = {} if packed is None else packed
+        self.set: dict[Any, list[DRound]] = {}
+        self.images: dict[Any, tuple[Any, ...]] = {}
 
 
 class _CursorAdversary(Adversary):
@@ -179,19 +225,25 @@ class _SymmetryTable:
     labels (the ``kset`` distinct-inputs case, where the literal stabilizer
     is trivial and exact mode would prune nothing).
 
-    Per-``DRound`` permutation images are cached: the DFS re-encounters the
-    same few thousand families at every level, so image computation
-    amortizes to one pass per distinct family.
+    Per-``DRound`` permutation images are cached in ``images`` (pass one
+    dict to share it between tables of the same ``n``): the DFS
+    re-encounters the same few thousand families at every level, so image
+    computation amortizes to one pass per distinct family.
     """
 
-    def __init__(self, inputs: tuple[Any, ...], mode: str) -> None:
+    def __init__(
+        self,
+        inputs: tuple[Any, ...],
+        mode: str,
+        images: dict[Any, Any] | None = None,
+    ) -> None:
         if mode not in ("exact", "labels"):
             raise ValueError(f"unknown symmetry mode {mode!r}")
         n = len(inputs)
         self.perms: list[tuple[int, ...]] = list(
             itertools.permutations(range(n))
         )
-        self._round_images: dict[DRound, tuple[tuple[Any, ...], ...]] = {}
+        self._round_images: dict[Any, Any] = {} if images is None else images
         input_pieces: list[tuple[Any, ...]] = []
         for perm in self.perms:
             image: list[Any] = [None] * n
@@ -256,10 +308,17 @@ class _PackedSymmetryTable:
     ``2^n`` mask maps), and canonicalization narrows the candidate
     permutations level by level — first to those minimizing the input
     piece (precomputed), then per round — instead of building all ``n!``
-    serializations.
+    serializations.  ``images`` shares the per-round image cache between
+    tables over the same domain.
     """
 
-    def __init__(self, inputs: tuple[Any, ...], mode: str, dom: BitsetDomain) -> None:
+    def __init__(
+        self,
+        inputs: tuple[Any, ...],
+        mode: str,
+        dom: BitsetDomain,
+        images: dict[Any, Any] | None = None,
+    ) -> None:
         if mode not in ("exact", "labels"):
             raise ValueError(f"unknown symmetry mode {mode!r}")
         self.dom = dom
@@ -267,7 +326,7 @@ class _PackedSymmetryTable:
         self.perms: list[tuple[int, ...]] = list(
             itertools.permutations(range(n))
         )
-        self._round_images: dict[int, tuple[int, ...]] = {}
+        self._round_images: dict[Any, Any] = {} if images is None else images
         input_pieces: list[tuple[Any, ...]] = []
         for perm in self.perms:
             image: list[Any] = [None] * n
@@ -340,9 +399,9 @@ class IncrementalExplorer:
     """Stateful DFS over admissible histories, one protocol round per edge.
 
     One instance is bound to a single ``(protocol, predicate, inputs)``
-    triple; :meth:`runs` may be called repeatedly (e.g. once per frontier
-    prefix in the parallel path) and shares the candidate memo, the
-    symmetry table and the :class:`EngineStats` across calls.
+    triple; :meth:`runs` may be called repeatedly (e.g. once per prefix of
+    a task) and shares the candidate memo, the symmetry table and the
+    :class:`EngineStats` across calls.
 
     Args:
         protocol: protocol factory output for this ``n``.
@@ -362,6 +421,10 @@ class IncrementalExplorer:
             paths yield identical histories, violations and orbit skips;
             the packed path may additionally aggregate decided subtrees
             (symmetry off), which only changes ``visited`` accounting.
+        memo: a :class:`_WorkerMemo` shared with the other explorers this
+            process runs for the same call (candidate lists, symmetry
+            images).  It only saves recomputation: results and every
+            deterministic counter are the same with or without it.
     """
 
     def __init__(
@@ -375,6 +438,7 @@ class IncrementalExplorer:
         max_d_size: int | None = None,
         symmetry: str | None = None,
         bitset: bool = True,
+        memo: _WorkerMemo | None = None,
     ) -> None:
         self.protocol = protocol
         self.predicate = predicate
@@ -398,19 +462,15 @@ class IncrementalExplorer:
         self.bitset = self._packed is not None
         self._packed_candidates: dict[Any, list[int]] = {}
         self._agg_counts: dict[Any, int] = {}
-        #: Optional cross-process candidate-memo broadcast (duck-typed:
-        #: ``get(key) -> list | None`` and ``put(key, list) -> bool``), set by
-        #: :mod:`repro.check.scale` workers.  Entries are pure functions of
-        #: their key, so serving one from another process can never change
-        #: results — only skip a redundant enumeration.
-        self.shared_memo: Any | None = None
+        self.memo = memo
+        images = memo.images if memo is not None else None
         self._table: _SymmetryTable | None = None
         self._packed_table: _PackedSymmetryTable | None = None
         if symmetry:
             if self._packed is not None:
                 try:
                     self._packed_table = _PackedSymmetryTable(
-                        self.inputs, symmetry, self._packed.domain
+                        self.inputs, symmetry, self._packed.domain, images
                     )
                 except TypeError:
                     # Uncomparable input values: the set-based table would
@@ -418,7 +478,7 @@ class IncrementalExplorer:
                     # everything is explored).
                     self._packed_table = None
             else:
-                self._table = _SymmetryTable(self.inputs, symmetry)
+                self._table = _SymmetryTable(self.inputs, symmetry, images)
 
     # ------------------------------------------------------------- internals
 
@@ -438,12 +498,24 @@ class IncrementalExplorer:
                 )
             )
         if cached is None:
-            cached = list(
-                admissible_rounds(
-                    self.predicate, history, max_d_size=self.max_d_size
+            memo = self.memo
+            if memo is not None:
+                cached = memo.set.get((self.inputs, key))
+                if cached is None:
+                    self.stats.shared_misses += 1
+                else:
+                    self.stats.shared_hits += 1
+            if cached is None:
+                cached = list(
+                    admissible_rounds(
+                        self.predicate, history, max_d_size=self.max_d_size
+                    )
                 )
-            )
+                if memo is not None:
+                    memo.set[(self.inputs, key)] = cached
             self._candidates[key] = cached
+            # A load from the process memo still counts as a miss, as on
+            # the packed path below.
             self.stats.memo_misses += 1
             if tracer.enabled:
                 tracer.event(
@@ -489,28 +561,28 @@ class IncrementalExplorer:
         """
         cached = self._packed_candidates.get(state)
         if cached is None:
-            shared = self.shared_memo
-            if shared is not None:
-                loaded = shared.get(("cand", state))
-                if loaded is not None:
-                    # Candidate lists are read-only everywhere, so a list
-                    # from the worker-local front is shared as-is — copying
-                    # a million-entry frontier per task is real money.
-                    cached = loaded if type(loaded) is list else list(loaded)
-                    self.stats.shared_hits += 1
-                else:
+            memo = self.memo
+            if memo is not None:
+                # Candidate lists are read-only everywhere, so a list from
+                # the process memo is shared as-is — copying a
+                # million-entry frontier per task is real money.
+                cached = memo.packed.get(state)
+                if cached is None:
                     self.stats.shared_misses += 1
+                else:
+                    self.stats.shared_hits += 1
             if cached is None:
                 cached = self._packed.admissible_round_ints(
                     (), max_d_size=self.max_d_size, state=state
                 )
-                if shared is not None and shared.put(("cand", state), cached):
-                    self.stats.shared_publishes += 1
+                if memo is not None:
+                    memo.packed[state] = cached
             self._packed_candidates[state] = cached
-            # A shared-table load still counts (and traces) as a packed memo
-            # miss: the list was absent locally, and keeping the accounting
-            # identical either way is what makes the deterministic counters
-            # and the event stream invariant across worker counts.
+            # A process-memo load still counts (and traces) as a packed
+            # memo miss: the list was absent locally, and keeping the
+            # accounting identical either way is what makes the
+            # deterministic counters and the event stream invariant across
+            # worker counts.
             self.stats.memo_misses_packed += 1
             if tracer.enabled:
                 tracer.event(
@@ -545,15 +617,18 @@ class IncrementalExplorer:
         children = self._admissible_packed(state, depth, tracer)
         if not children:
             return None
-        advance = self._packed.advance
-        total = 0
-        for rint in children:
-            sub = self._subtree_count(
-                advance(state, rint), depth + 1, depth_left - 1, tracer
-            )
-            if sub is None:
-                return None
-            total += sub
+        if depth_left == 1:
+            total = len(children)  # every child is a leaf
+        else:
+            advance = self._packed.advance
+            total = 0
+            for rint in children:
+                sub = self._subtree_count(
+                    advance(state, rint), depth + 1, depth_left - 1, tracer
+                )
+                if sub is None:
+                    return None
+                total += sub
         self._agg_counts[key] = total
         return total
 
@@ -623,9 +698,9 @@ class IncrementalExplorer:
         ``pruned=True``).  Raises :class:`NoAdmissibleExtension` when a
         reachable prefix dead-ends, like the replay enumerator.
 
-        ``prefix`` may be given packed (a tuple of round ints) — the
-        parallel path ships its round-1 frontier that way to keep chunk
-        payloads small at large ``n``.
+        ``prefix`` may be given packed (a tuple of round ints) — the task
+        builder ships its orbit-deduped round-1 frontier that way to keep
+        task payloads small at large ``n``.
 
         ``restrict=(lo, hi)`` limits the walk to the children of ``prefix``
         at candidate indices ``lo:hi`` (in the enumerator's canonical
@@ -780,8 +855,7 @@ class IncrementalExplorer:
         tracer = obs.current_tracer()
         if restrict is None:
             # The root is never claimed, matching the set path's _READY
-            # entries (parallel-mode prefixes were claimed by the parent
-            # process).
+            # entries (a task's prefixes were claimed by the task builder).
             yield from self._packed_visit(
                 rounds, prefix, phistory, state, root, tracer
             )
@@ -790,57 +864,15 @@ class IncrementalExplorer:
         # the root's candidates, without the root's own visit/aggregation —
         # the root is shared by every task slice and accounted for by none.
         lo, hi = restrict
-        trace = root.trace
-        depth = len(prefix)
-        all_decided = trace.all_decided
-        if all_decided and self.prune_decided and prefix:
+        if root.trace.all_decided and self.prune_decided and prefix:
             raise ValueError(
                 "restrict below an all-decided prefix with prune_decided: "
                 "the prefix is a pruned leaf and has no task slices"
             )
-        children = self._admissible_packed(state, depth, tracer)[lo:hi]
-        dom = packed.domain
-        visit = self._packed_visit
-        if all_decided:
-            for rint in children:
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
-                yield from visit(
-                    rounds, prefix + (dom.unpack_round(rint),), child_ph,
-                    packed.advance(state, rint), root, tracer,
-                )
-        else:
-            last = len(children) - 1
-            for index, rint in enumerate(children):
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
-                if index == last:
-                    child_exec = root  # last sibling: move, don't copy
-                else:
-                    child_exec = root.fork()
-                    self.stats.forks += 1
-                    if tracer.enabled:
-                        tracer.event("engine.fork", depth=depth + 1)
-                d_round = dom.unpack_round(rint)
-                child_exec.adversary.stage(d_round)
-                child_exec.step()
-                self.stats.rounds_executed += 1
-                yield from visit(
-                    rounds, prefix + (d_round,), child_ph,
-                    packed.advance(state, rint), child_exec, tracer,
-                )
+        children = self._admissible_packed(state, len(prefix), tracer)[lo:hi]
+        yield from self._packed_children(
+            rounds, prefix, phistory, state, root, children, tracer
+        )
 
     def _packed_visit(
         self,
@@ -862,8 +894,7 @@ class IncrementalExplorer:
         if depth == rounds:
             yield EngineRun(history, trace)
             return
-        all_decided = trace.all_decided
-        if all_decided:
+        if trace.all_decided:
             if self.prune_decided:
                 if history:
                     yield EngineRun(history, trace, pruned=True)
@@ -884,36 +915,47 @@ class IncrementalExplorer:
         children = self._admissible_packed(state, depth, tracer)
         if not children:
             raise NoAdmissibleExtension(self.predicate, history)
+        yield from self._packed_children(
+            rounds, history, phistory, state, executor, children, tracer
+        )
+
+    def _packed_children(
+        self,
+        rounds: int,
+        history: DHistory,
+        phistory: PackedDHistory,
+        state: object,
+        executor: RoundExecutor,
+        children: list[int],
+        tracer: "obs.Tracer",
+    ) -> Iterator[EngineRun]:
+        """Claim, step and visit ``children`` of one node, in order.
+
+        The node's own visit and a task slice's restricted walk share this
+        loop.  Children fork ``executor``, except the last, which consumes
+        it; below an all-decided node they share it and step nothing.
+        """
         packed = self._packed
         dom = packed.domain
         visit = self._packed_visit
-        if all_decided:
-            # No process will absorb another view: the whole subtree shares
-            # this executor (and thus this trace object).
-            for rint in children:
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
-                yield from visit(
-                    rounds, history + (dom.unpack_round(rint),), child_ph,
-                    packed.advance(state, rint), executor, tracer,
-                )
-        else:
-            last = len(children) - 1
-            for index, rint in enumerate(children):
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
+        depth = len(history)
+        all_decided = executor.trace.all_decided
+        last = len(children) - 1
+        for index, rint in enumerate(children):
+            child_ph = phistory + (rint,)
+            if self._packed_table is not None and not self._claim_packed(
+                child_ph
+            ):
+                self.stats.skipped_symmetric += 1
+                if tracer.enabled:
+                    tracer.event("engine.symmetry_skip", depth=depth + 1)
+                continue
+            d_round = dom.unpack_round(rint)
+            if all_decided:
+                # No process will absorb another view: the whole subtree
+                # shares this executor (and thus this trace object).
+                child_exec = executor
+            else:
                 if index == last:
                     child_exec = executor  # last sibling: move, don't copy
                 else:
@@ -921,11 +963,10 @@ class IncrementalExplorer:
                     self.stats.forks += 1
                     if tracer.enabled:
                         tracer.event("engine.fork", depth=depth + 1)
-                d_round = dom.unpack_round(rint)
                 child_exec.adversary.stage(d_round)
                 child_exec.step()
                 self.stats.rounds_executed += 1
-                yield from visit(
-                    rounds, history + (d_round,), child_ph,
-                    packed.advance(state, rint), child_exec, tracer,
-                )
+            yield from visit(
+                rounds, history + (d_round,), child_ph,
+                packed.advance(state, rint), child_exec, tracer,
+            )

@@ -1,43 +1,45 @@
-"""Scale-out certification: work stealing, a shared memo table, disk BFS.
+"""The one exploration scheduler: a fixed task decomposition, and disk BFS.
 
-The static scheduler in :mod:`repro.check.explore` shards the *round-1*
-frontier round-robin and lets every worker rebuild its own candidate memo.
-That leaves three kinds of waste on the table, and this module removes all
-three while keeping the repo's determinism contract — byte-identical
-violation lists and history counts for every worker count:
+:func:`repro.check.explore.explore` runs every engine certification
+through :func:`run_steal`, in-process at ``workers=1`` and through a
+process pool above that.  The replay engine is the only other exhaustive
+path: a plain in-process loop in :mod:`repro.check.explore`, kept as the
+oracle this scheduler is tested against, which shares none of its
+scheduling, memo or merge code.  The scheduler keeps the repo's determinism
+contract — byte-identical counters, violation lists and absorbed event
+streams for every worker count — by construction:
 
-- **Work stealing over a fixed task decomposition** (:func:`run_steal`).
-  The frontier is cut into a worker-count-*independent* list of tasks
-  (about :data:`TARGET_TASKS` per input assignment), and a process pool
-  pulls them dynamically.  When the round-1 frontier is smaller than the
-  worker count — the case that silently serialized the static path — the
-  builder expands *deeper* levels until there is enough parallelism
-  (:func:`_expand_tasks`), so small-``n`` high-worker runs reach full
-  utilization.  Tasks are merged in task-index order, never completion
-  order, so counters, violations and absorbed event streams are identical
-  at ``--workers 1/2/4``.
+- **A fixed task decomposition** (:func:`_build_tasks`).  The frontier is
+  cut into a worker-count-*independent* list of about
+  :data:`TARGET_TASKS` tasks, spread over the whole input space.  When an
+  input's round-1 frontier is smaller than its share of tasks, the
+  builder expands its undecided children *deeper* until there is enough
+  parallelism, and bundles decided ones (:func:`_expand_tasks`).  Every
+  task runs on a fresh explorer, and parts are merged in task-index
+  order, never completion order, so the in-process run and any pool run
+  produce the same result.
 
-- **A shared cross-worker transposition table**
-  (:class:`SharedMemoTable`): an open-addressing fingerprint index over
-  ``multiprocessing.shared_memory``, broadcasting the engine's packed
-  candidate-memo entries across process boundaries instead of letting
-  each worker re-enumerate them (1.3 s *per worker* at kset ``n=5``).
-  Entries are pure functions of their key and every hit re-verifies the
-  full pickled key, so fingerprint collisions, torn writes and lost
-  racing publishes can cost time but never soundness — exactly the
-  TLC fingerprint-set discipline.  Orbit (symmetry) claims deliberately
-  stay task-local: a racy cross-worker *skip* could change which orbit
-  representative is counted and break count determinism.
+- **A per-process memo** (:class:`~repro.check.engine._WorkerMemo`).
+  Explorers of one process share candidate lists and symmetry-table
+  images, which are pure functions of their keys; the builder's
+  candidate lists seed each pool worker's memo through the pool
+  initializer, so the kset ``n=5`` root list (1.3 s to enumerate) is
+  computed once, not once per task.  Orbit (symmetry) claims stay
+  task-local: orbits are deduped globally at depth 1 by the builder, and
+  a cross-task *skip* could change which representative is counted.
 
 - **A disk-backed BFS mode** (:func:`explore_bfs`) with spill-to-disk
   frontier segments and checkpoint/resume (``repro check --bfs
   --checkpoint DIR`` / ``--resume``), for certifications whose frontier
   outgrows memory or whose wall-clock outgrows a single sitting.  The
-  checkpoint format is ``rrfd-checkpoint-v1``: a JSON manifest (rewritten
-  atomically after every completed task) plus pickle segment/result
-  files; interrupted runs return ``result.partial`` and resume exactly
-  where they stopped, converging to the same counts and violation set as
-  an uninterrupted run.
+  checkpoint format is ``rrfd-checkpoint-v2``: a JSON manifest (rewritten
+  atomically after every completed task), flat text segments of packed
+  round ints, and JSON task results.  Every file is read through one
+  validator, so a truncated, tampered or foreign checkpoint is refused
+  with :class:`CheckpointError` instead of being trusted; interrupted
+  runs return ``result.partial`` and resume exactly where they stopped,
+  converging to the same counts and violation set as an uninterrupted
+  run.
 
 The per-leaf hot path is :class:`_LeafStepper`: at a fixed parent
 executor, a child's post-round view and decision depend only on
@@ -51,34 +53,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
+import re
 import shutil
-import struct
 import sys
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from multiprocessing import Lock, resource_tracker, shared_memory
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
-from repro.analysis.adversary_search import (
-    NoAdmissibleExtension,
-    admissible_rounds,
-)
+from repro.analysis.adversary_search import NoAdmissibleExtension
 from repro.check.engine import (
+    EngineStats,
     IncrementalExplorer,
     _PackedSymmetryTable,
     _SymmetryTable,
+    _WorkerMemo,
 )
-from repro.check.explore import (
-    ExploreResult,
-    Violation,
-    _explore_incremental,
-    _explore_serial,
-    _merge_parts,
-)
+from repro.check.explore import ExploreResult, Violation
 from repro.check.spec import ConformanceSpec, InvariantFailure, get_spec
 from repro.core.types import (
     DHistory,
@@ -92,223 +85,86 @@ from repro.util.bitset import domain as bitset_domain
 __all__ = [
     "TARGET_TASKS",
     "CHECKPOINT_VERSION",
-    "SharedMemoTable",
+    "CheckpointError",
     "run_steal",
     "explore_bfs",
 ]
 
-#: Tasks built per input assignment.  Fixed — never a function of the worker
-#: count — so the task list, and therefore every merged counter and event
-#: stream, is identical whether 1, 2 or 16 workers drain it.
+#: Tasks built per call, spread evenly over the input assignments.  Fixed —
+#: never a function of the worker count — so the task list, and therefore
+#: every merged counter and event stream, is identical whether 1, 2 or 16
+#: workers drain it.
 TARGET_TASKS = 64
 
-CHECKPOINT_VERSION = "rrfd-checkpoint-v1"
+CHECKPOINT_VERSION = "rrfd-checkpoint-v2"
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed, tampered with, or of another format."""
 
 
 # ---------------------------------------------------------------------------
-# shared cross-worker transposition table
-
-_SLOT = struct.Struct("<QQ")  # [fingerprint][blob offset + 1]
-_LEN = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+# engine walks
 
 
-class SharedMemoTable:
-    """Open-addressing key/value set in ``multiprocessing.shared_memory``.
+def _explore_incremental(
+    spec: ConformanceSpec,
+    explorer: IncrementalExplorer,
+    inputs: tuple[Any, ...],
+    n: int,
+    rounds: int,
+    *,
+    result: ExploreResult,
+    prefix: DHistory = (),
+    restrict: tuple[int, int] | None = None,
+    max_violations: int | None = None,
+) -> None:
+    """Consume the engine's runs below ``prefix``, mirroring the replay loop.
 
-    Two segments: a slot *index* of ``(u64 fingerprint, u64 offset+1)``
-    pairs and an append-only *blob* whose first 8 bytes are the bump
-    pointer.  ``put`` reserves blob space under a lock, writes
-    ``[u32 len][pickle((key, value))]``, then claims a slot by writing the
-    offset first and the fingerprint *last* — a reader that sees a
-    non-zero fingerprint sees a complete entry.  There is no CAS on the
-    slot word, so two racing publishers of different keys can overwrite
-    one another's claim; the loser's blob bytes are orphaned and its key
-    is simply recomputed by the next prober.  ``get`` verifies the full
-    unpickled key on every fingerprint match, so collisions and torn
-    entries degrade to misses — the table can only ever *save* work, never
-    change a result (entries are pure functions of their key).
+    Decided subtrees share one trace *object*, so invariant checks are
+    memoized by trace identity — safe because shared-trace runs are yielded
+    contiguously by the DFS (no ``id()`` reuse hazard: the previous trace is
+    still referenced while compared).
+
+    On the packed path a whole decided subtree may arrive as one aggregated
+    run (``count`` leaves, ``expand`` for their histories): counts roll
+    straight into the totals, and only a failing shared trace pays for the
+    leaf enumeration — one violation per leaf, byte-identical to the
+    replay loop's list.
     """
-
-    PROBE_LIMIT = 64
-
-    def __init__(
-        self,
-        index: shared_memory.SharedMemory,
-        blob: shared_memory.SharedMemory,
-        slots: int,
-        lock: Any,
-        *,
-        owner: bool,
-    ) -> None:
-        self._index = index
-        self._blob = blob
-        self.slots = slots
-        self.lock = lock
-        self._owner = owner
-
-    # -- lifecycle ----------------------------------------------------------
-
-    @classmethod
-    def create(
-        cls, slots: int = 1 << 14, blob_bytes: int = 64 << 20
-    ) -> "SharedMemoTable":
-        """Allocate fresh (zero-filled) segments; call :meth:`destroy` after."""
-        lock = Lock()
-        index = shared_memory.SharedMemory(create=True, size=slots * _SLOT.size)
-        try:
-            blob = shared_memory.SharedMemory(create=True, size=blob_bytes)
-        except Exception:
-            index.close()
-            index.unlink()
-            raise
-        _U64.pack_into(blob.buf, 0, 8)  # bump pointer starts past itself
-        return cls(index, blob, slots, lock, owner=True)
-
-    def handles(self) -> tuple[str, str, int]:
-        """Picklable attach handles (the lock travels via pool initargs)."""
-        return (self._index.name, self._blob.name, self.slots)
-
-    @classmethod
-    def attach(
-        cls, handles: tuple[str, str, int], lock: Any
-    ) -> "SharedMemoTable":
-        index_name, blob_name, slots = handles
-        # Only the creating process owns the segments' lifetime.  Attaching
-        # normally registers them with the resource tracker, which would
-        # unlink them when any worker exits (and, with several workers
-        # sharing one forked tracker, double-unregister noisily) — suppress
-        # registration for the attach, single-threaded in the initializer.
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None
-        try:
-            index = shared_memory.SharedMemory(name=index_name)
-            blob = shared_memory.SharedMemory(name=blob_name)
-        finally:
-            resource_tracker.register = original_register
-        return cls(index, blob, slots, lock, owner=False)
-
-    def close(self) -> None:
-        for shm in (self._index, self._blob):
-            try:
-                shm.close()
-            except Exception:
-                pass
-
-    def destroy(self) -> None:
-        """Close, and (in the owner) unlink the segments."""
-        owner = self._owner
-        index, blob = self._index, self._blob
-        self.close()
-        if owner:
-            for shm in (index, blob):
-                try:
-                    shm.unlink()
-                except Exception:
-                    pass
-
-    # -- operations ---------------------------------------------------------
-
-    @staticmethod
-    def _fingerprint(key_bytes: bytes) -> int:
-        fp = int.from_bytes(
-            hashlib.blake2b(key_bytes, digest_size=8).digest(), "little"
-        )
-        return fp or 1  # 0 marks an empty slot
-
-    def get(self, key: Any) -> Any | None:
-        try:
-            key_bytes = pickle.dumps(key, protocol=4)
-        except Exception:
-            return None
-        fp = self._fingerprint(key_bytes)
-        index = self._index.buf
-        blob = self._blob.buf
-        slots = self.slots
-        base = fp % slots
-        for i in range(self.PROBE_LIMIT):
-            slot = (base + i) % slots
-            slot_fp, slot_off = _SLOT.unpack_from(index, slot * _SLOT.size)
-            if slot_fp == 0:
-                return None
-            if slot_fp != fp or slot_off == 0:
-                continue
-            off = slot_off - 1
-            try:
-                (paylen,) = _LEN.unpack_from(blob, off)
-                loaded_key, value = pickle.loads(
-                    bytes(blob[off + 4 : off + 4 + paylen])
+    last_trace: ExecutionTrace | None = None
+    last_failures: list[InvariantFailure] = []
+    for run in explorer.runs(rounds, prefix=prefix, restrict=restrict):
+        if (
+            max_violations is not None
+            and len(result.violations) >= max_violations
+        ):
+            return
+        result.histories += run.count
+        if run.pruned:
+            result.pruned += 1
+        result.executions += run.count
+        if run.trace is last_trace:
+            failures = last_failures
+        else:
+            failures = spec.failures(run.trace, n)
+            last_trace, last_failures = run.trace, failures
+        if failures:
+            problems = tuple(failures)
+            if run.expand is None:
+                result.violations.append(
+                    Violation(spec.name, inputs, run.history, problems)
                 )
-            except Exception:
-                continue  # torn or garbled entry: collision-safe miss
-            if loaded_key == key:
-                return value
-        return None
-
-    def put(self, key: Any, value: Any) -> bool:
-        """Publish ``key -> value``; ``False`` when full/raced (harmless)."""
-        try:
-            key_bytes = pickle.dumps(key, protocol=4)
-            payload = pickle.dumps((key, value), protocol=4)
-        except Exception:
-            return False
-        fp = self._fingerprint(key_bytes)
-        blob = self._blob.buf
-        need = 4 + len(payload)
-        with self.lock:
-            (bump,) = _U64.unpack_from(blob, 0)
-            if bump + need > len(blob):
-                return False
-            off = bump
-            _U64.pack_into(blob, 0, bump + need)
-        _LEN.pack_into(blob, off, len(payload))
-        blob[off + 4 : off + 4 + len(payload)] = payload
-        index = self._index.buf
-        slots = self.slots
-        base = fp % slots
-        for i in range(self.PROBE_LIMIT):
-            slot = (base + i) % slots
-            slot_fp, _ = _SLOT.unpack_from(index, slot * _SLOT.size)
-            if slot_fp == 0:
-                _U64.pack_into(index, slot * _SLOT.size + 8, off + 1)
-                _U64.pack_into(index, slot * _SLOT.size, fp)
-                return True
-            if slot_fp == fp:
-                return False  # already published (possibly by a racer)
-        return False  # neighbourhood crowded: skip, stay sound
-
-
-class _WorkerMemo:
-    """Per-process front for the shared table (or for no table at all).
-
-    Loads are unpickled from shared memory once per worker, not once per
-    task: explorers are rebuilt per task for determinism, so without this
-    front every task would re-load (and re-copy) e.g. the million-entry
-    kset ``n=5`` root candidate list.  With no backing table it still
-    deduplicates candidate enumeration across one process's tasks.  Only
-    the environmental ``shared_*`` counters can observe the difference.
-    """
-
-    def __init__(self, table: SharedMemoTable | None) -> None:
-        self._table = table
-        self._front: dict[Any, Any] = {}
-
-    def get(self, key: Any) -> Any | None:
-        value = self._front.get(key)
-        if value is not None:
-            return value
-        if self._table is None:
-            return None
-        value = self._table.get(key)
-        if value is not None:
-            self._front[key] = value
-        return value
-
-    def put(self, key: Any, value: Any) -> bool:
-        self._front[key] = value
-        if self._table is None:
-            return False
-        return self._table.put(key, value)
+            else:
+                for history in run.expand():
+                    result.violations.append(
+                        Violation(spec.name, inputs, history, problems)
+                    )
+                    if (
+                        max_violations is not None
+                        and len(result.violations) >= max_violations
+                    ):
+                        return
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +197,7 @@ class _LeafStepper:
         self.prefix = tuple(prefix)
         self.n = explorer.n
         self.r = root.trace.num_rounds + 1
-        self.dom = explorer._packed.domain
+        self.dom = bitset_domain(explorer.n)
         if self.root_decided:
             return  # caller must fall back to the engine walk
         if explorer.crashed_stop_emitting:
@@ -491,24 +347,26 @@ def _expand_tasks(
     budget: int,
     emit: Callable[[DHistory, int, int], None],
     depth_seen: list[int],
-) -> int:
+) -> None:
     """Recursively shard a small subtree into about ``budget`` tasks.
 
-    Used when a frontier level has fewer candidates than wanted tasks (the
-    static scheduler's idle-worker bug): undecided interior children are
-    stepped once to identify them and recursed into with a split budget,
-    while leaf/decided children are bundled into contiguous ranges, all
-    emitted in DFS child order.  Deterministic — it never looks at the
-    worker count — and the explorer is a builder scratchpad whose stats
-    are discarded (scheduling overhead, not search work).
+    A level with at least ``budget`` children is cut into ``budget`` even
+    ranges.  A smaller level is probed with a :class:`_LeafStepper` (one
+    protocol step per distinct ``(pid, D(pid))``, not a fork and a step per
+    child): its undecided interior children are recursed into with a split
+    budget, and each run of decided or full-depth children between them
+    becomes one range, all emitted in DFS child order.  A level with no
+    interior child is therefore one task: its children cost a step each,
+    and splitting them would cost more in task set-up than it spreads.
+    Deterministic — it never looks at the worker count — and the explorer
+    is a builder scratchpad whose stats are discarded.
     """
     tracer = obs.current_tracer()
     packed = explorer._packed
     depth = len(prefix)
     depth_seen[0] = max(depth_seen[0], depth + 1)
     if packed is not None:
-        dom = packed.domain
-        state = packed.extension_state(dom.pack_history(prefix))
+        state = packed.extension_state(packed.domain.pack_history(prefix))
         children: list[Any] = explorer._admissible_packed(
             state, depth, tracer
         )
@@ -517,51 +375,33 @@ def _expand_tasks(
     count = len(children)
     if count == 0:
         raise NoAdmissibleExtension(explorer.predicate, prefix)
-    if count >= budget or budget <= 1 or depth + 1 == rounds:
-        emitted = 0
-        for lo, hi in _even_ranges(count, min(count, max(1, budget))):
+    if count >= budget:
+        for lo, hi in _even_ranges(count, budget):
             emit(prefix, lo, hi)
-            emitted += 1
-        return emitted
-    # Fewer children than wanted tasks, with room below: step each child
-    # once to find the undecided interiors worth splitting further.
-    root = explorer._root_executor(prefix)
-    interior: list[bool] = []
-    child_rounds: list[DHistory] = []
-    for child in children:
-        d_round = (
-            packed.domain.unpack_round(child) if packed is not None else child
-        )
-        child_rounds.append(d_round)
-        fork = root.fork()
-        fork.adversary.stage(d_round)
-        fork.step()
-        interior.append(not fork.trace.all_decided)
-    n_interior = sum(interior)
-    if n_interior == 0:
-        emitted = 0
-        for lo, hi in _even_ranges(count, min(count, budget)):
-            emit(prefix, lo, hi)
-            emitted += 1
-        return emitted
-    sub_budget = max(1, -(-budget // n_interior))
-    emitted = 0
+        return
+    interior: dict[int, Any] = {}  # child index -> its (unpacked) round
+    if depth + 1 < rounds:
+        stepper = _LeafStepper(explorer, prefix)
+        if not stepper.root_decided:
+            dom = stepper.dom
+            for i, child in enumerate(children):
+                if packed is not None:
+                    if not stepper.decided(child):
+                        interior[i] = dom.unpack_round(child)
+                elif not stepper.decided(dom.pack_round(child)):
+                    interior[i] = child
+    sub_budget = -(-budget // max(1, len(interior)))
     start = 0
-    for i, is_interior in enumerate(interior):
-        if not is_interior:
-            continue
+    for i, d_round in interior.items():
         if start < i:
             emit(prefix, start, i)
-            emitted += 1
-        emitted += _expand_tasks(
-            explorer, rounds, prefix + (child_rounds[i],), sub_budget,
-            emit, depth_seen,
+        _expand_tasks(
+            explorer, rounds, prefix + (d_round,), sub_budget, emit,
+            depth_seen,
         )
         start = i + 1
     if start < count:
         emit(prefix, start, count)
-        emitted += 1
-    return emitted
 
 def _build_tasks(
     spec: ConformanceSpec,
@@ -571,7 +411,6 @@ def _build_tasks(
     *,
     prune_decided: bool,
     max_d_size: int | None,
-    engine: str,
     symmetry_mode: str | None,
     bitset: bool,
     max_violations: int | None,
@@ -579,49 +418,33 @@ def _build_tasks(
 ) -> tuple[list[dict[str, Any]], _WorkerMemo, int, int]:
     """The fixed task decomposition: payloads, builder memo, depth, skips.
 
+    Each input assignment gets an even share of :data:`TARGET_TASKS`.
     Task kinds: ``("list", [prefix, ...])`` — resume the DFS below each
-    prefix (symmetry shards and the replay engine); ``("range", parent,
-    lo, hi)`` — the slice ``[lo:hi)`` of ``parent``'s candidate list
-    (packed fast path).  With symmetry on, the depth-1 frontier is
-    orbit-deduped *globally* here, before sharding — workers then only
-    need task-local tables for deeper levels; the orbits cut here are
-    returned as the fourth element so ``skipped_symmetric`` still matches
-    the serial walk (the static split drops them).  Candidate lists
-    enumerated while building land in ``builder_memo`` and pre-seed the
-    shared table, so every pool worker's first probe is a cross-worker
-    hit.
+    prefix (symmetry shards); ``("range", parent, lo, hi)`` — the slice
+    ``[lo:hi)`` of ``parent``'s candidate list.  With symmetry on, the
+    depth-1 frontier is orbit-deduped *globally* here, before sharding —
+    tasks then only need task-local tables for deeper levels; the orbits
+    cut here are returned as the fourth element so ``skipped_symmetric``
+    counts them.  Candidate lists and symmetry images computed while
+    building land in ``builder_memo``, which serves the in-process run and
+    seeds every pool worker's memo.
     """
     payloads: list[dict[str, Any]] = []
-    builder_memo = _WorkerMemo(None)
+    builder_memo = _WorkerMemo()
     depth_seen = [1]
     builder_skipped = 0
-    replay_frontier: list[DHistory] | None = None
+    share = -(-TARGET_TASKS // max(1, len(input_space)))  # ceil, >= 1
     for inputs in input_space:
         base = {
             "spec": spec.name, "inputs": inputs, "n": n, "rounds": rounds,
             "prune_decided": prune_decided, "max_d_size": max_d_size,
-            "engine": engine, "symmetry": symmetry_mode,
-            "max_violations": max_violations, "observe": observe,
-            "bitset": bitset,
+            "symmetry": symmetry_mode, "max_violations": max_violations,
+            "observe": observe, "bitset": bitset,
         }
 
         def add(task: tuple[Any, ...], base: dict[str, Any] = base) -> None:
             payloads.append({**base, "task": task, "index": len(payloads)})
 
-        if engine != "incremental":
-            if replay_frontier is None:
-                predicate = spec.predicate(n)
-                replay_frontier = [
-                    (d_round,)
-                    for d_round in admissible_rounds(
-                        predicate, (), max_d_size=max_d_size
-                    )
-                ]
-                if not replay_frontier:
-                    raise NoAdmissibleExtension(predicate, ())
-            for chunk in _contiguous_chunks(replay_frontier, TARGET_TASKS):
-                add(("list", chunk))
-            continue
         explorer = IncrementalExplorer(
             spec.protocol(n),
             spec.predicate(n),
@@ -631,8 +454,8 @@ def _build_tasks(
             max_d_size=max_d_size,
             symmetry=None,
             bitset=bitset,
+            memo=builder_memo,
         )
-        explorer.shared_memo = builder_memo
         tracer = obs.current_tracer()
         if explorer.bitset:
             packed = explorer._packed
@@ -645,10 +468,11 @@ def _build_tasks(
         if not candidates:
             raise NoAdmissibleExtension(explorer.predicate, ())
         if symmetry_mode is not None:
+            images = builder_memo.images
             if explorer.bitset:
                 try:
                     table = _PackedSymmetryTable(
-                        inputs, symmetry_mode, explorer._packed.domain
+                        inputs, symmetry_mode, explorer._packed.domain, images
                     )
                     frontier: list[Any] = [
                         (rint,) for rint in candidates if table.claim((rint,))
@@ -656,20 +480,15 @@ def _build_tasks(
                 except TypeError:  # uncomparable inputs: no dedupe, sound
                     frontier = [(rint,) for rint in candidates]
             else:
-                table = _SymmetryTable(inputs, symmetry_mode)
+                table = _SymmetryTable(inputs, symmetry_mode, images)
                 frontier = [
                     (d_round,)
                     for d_round in candidates
                     if table.claim((d_round,))
                 ]
             builder_skipped += len(candidates) - len(frontier)
-            for chunk in _contiguous_chunks(frontier, TARGET_TASKS):
+            for chunk in _contiguous_chunks(frontier, share):
                 add(("list", chunk))
-            continue
-        count = len(candidates)
-        if count >= TARGET_TASKS:
-            for lo, hi in _even_ranges(count, TARGET_TASKS):
-                add(("range", (), lo, hi))
             continue
 
         def emit(
@@ -685,35 +504,26 @@ def _build_tasks(
                 parent = tuple(prefix)
             add(("range", parent, lo, hi))
 
-        _expand_tasks(explorer, rounds, (), TARGET_TASKS, emit, depth_seen)
+        _expand_tasks(explorer, rounds, (), share, emit, depth_seen)
     return payloads, builder_memo, depth_seen[0], builder_skipped
 
 
 # ---------------------------------------------------------------------------
 # worker side
 
-_WORKER: dict[str, Any] = {"memo": None}
+#: The pool worker's memo, set by :func:`_init_scale_worker`.
+_WORKER: dict[str, _WorkerMemo] = {}
 
 def _init_scale_worker(
-    parent_path: list[str],
-    table_handles: tuple[str, str, int] | None,
-    lock: Any,
+    parent_path: list[str], front: dict[Any, list[int]] | None
 ) -> None:
+    """Pool initializer: ``sys.path``, then a memo seeded with ``front``."""
     init_worker(parent_path)
-    table = None
-    if table_handles is not None:
-        try:
-            table = SharedMemoTable.attach(table_handles, lock)
-        except Exception:
-            table = None  # degrade: local-front memo only
-    _WORKER["memo"] = _WorkerMemo(table)
+    _WORKER["memo"] = _WorkerMemo(front)
 
 def _scale_task(payload: dict[str, Any]) -> dict[str, Any]:
     """Pool entry: resolve the spec by name, run one task."""
-    shared = _WORKER.get("memo")
-    if shared is None:
-        shared = _WORKER["memo"] = _WorkerMemo(None)
-    return _scale_task_impl(get_spec(payload["spec"]), payload, shared)
+    return _scale_task_impl(get_spec(payload["spec"]), payload, _WORKER["memo"])
 
 def _run_range(
     spec: ConformanceSpec,
@@ -729,43 +539,29 @@ def _run_range(
 ) -> None:
     """Check slice ``[lo:hi)`` of ``parent``'s candidate list.
 
-    Fast path (packed kernel, no symmetry): leaf children — depth-``rounds``
-    or decided-under-prune — go through the :class:`_LeafStepper`; maximal
-    runs of interior children are batched into single engine ``restrict``
-    walks.  Violations appear in exactly the DFS order, and histories /
-    executions / pruned match the engine walk one for one.
+    Fast path (packed kernel; range tasks never carry symmetry): leaf
+    children — depth-``rounds`` or decided-under-prune — go through the
+    :class:`_LeafStepper`; maximal runs of interior children are batched
+    into single engine ``restrict`` walks.  Violations appear in exactly
+    the DFS order, and histories / executions / pruned match the engine
+    walk one for one.
     """
     packed = explorer._packed
-    if (
-        packed is None
-        or explorer._packed_table is not None
-        or explorer._table is not None
-    ):
-        prefix = tuple(parent)
-        _explore_incremental(
-            spec, explorer, inputs, n, rounds, result=result,
-            prefix=prefix, restrict=(lo, hi), max_violations=max_violations,
-        )
-        return
-    dom = packed.domain
-    if parent and isinstance(parent[0], int):
-        phist = tuple(parent)
-        prefix = dom.unpack_history(phist)
-    else:
-        prefix = tuple(parent)
-        phist = dom.pack_history(prefix)
-    depth = len(prefix)
+    depth = len(parent)
     depth_leaf = depth + 1 == rounds
-    if not depth_leaf and not explorer.prune_decided:
-        # Every in-range child is interior (or an aggregated decided
-        # subtree) — the engine's restricted walk is already the right tool.
+    if packed is None or not (depth_leaf or explorer.prune_decided):
+        # The set path, or every in-range child is interior (or an
+        # aggregated decided subtree): the engine's restricted walk is
+        # already the right tool.
         _explore_incremental(
             spec, explorer, inputs, n, rounds, result=result,
-            prefix=prefix, restrict=(lo, hi), max_violations=max_violations,
+            prefix=parent, restrict=(lo, hi), max_violations=max_violations,
         )
         return
+    # On the packed path the builder ships parents as packed round ints.
+    prefix = packed.domain.unpack_history(parent)
     tracer = obs.current_tracer()
-    state = packed.extension_state(phist)
+    state = packed.extension_state(tuple(parent))
     all_children = explorer._admissible_packed(state, depth, tracer)
     if not all_children:
         raise NoAdmissibleExtension(explorer.predicate, prefix)
@@ -818,14 +614,14 @@ def _run_range(
             i = j
 
 def _scale_task_impl(
-    spec: ConformanceSpec, payload: dict[str, Any], shared: _WorkerMemo
+    spec: ConformanceSpec, payload: dict[str, Any], memo: _WorkerMemo
 ) -> dict[str, Any]:
-    """Run one task; the part dict mirrors ``_explore_chunk_impl`` exactly.
+    """Run one task; return its part dict for :func:`_merge_parts`.
 
     A fresh explorer per task keeps every deterministic counter and event
-    a function of the task alone (a warm memo carried across tasks would
-    make them depend on which tasks shared a worker); the shared memo
-    front is what makes the rebuild cheap.
+    a function of the task alone (a warm explorer carried across tasks
+    would make them depend on which tasks shared a worker); the process
+    memo is what makes the rebuild cheap.
     """
     inputs = tuple(payload["inputs"])
     n = payload["n"]
@@ -835,7 +631,7 @@ def _scale_task_impl(
     result = ExploreResult(
         spec=spec.name, n=n, rounds=rounds, mode="exhaustive"
     )
-    engine_delta: dict[str, int] = {}
+    engine_stats: dict[str, int] = {}
 
     def work() -> None:
         tracer = obs.current_tracer()
@@ -844,53 +640,22 @@ def _scale_task_impl(
                 "check.task", index=payload.get("index", 0), kind=task[0],
             )
         try:
-            if payload["engine"] == "incremental":
-                explorer = IncrementalExplorer(
-                    spec.protocol(n),
-                    spec.predicate(n),
-                    inputs,
-                    crashed_stop_emitting=spec.crashed_stop_emitting,
-                    prune_decided=payload["prune_decided"],
-                    max_d_size=payload["max_d_size"],
-                    symmetry=payload["symmetry"],
-                    bitset=payload.get("bitset", True),
-                )
-                explorer.shared_memo = shared
-                result.bitset = explorer.bitset
-                before = explorer.stats.snapshot()
-                if task[0] == "list":
-                    for prefix in task[1]:
-                        _explore_incremental(
-                            spec, explorer, inputs, n, rounds,
-                            result=result, prefix=prefix,
-                            max_violations=max_violations,
-                        )
-                        if (
-                            max_violations is not None
-                            and len(result.violations) >= max_violations
-                        ):
-                            break
-                else:
-                    _, parent, lo, hi = task
-                    _run_range(
-                        spec, explorer, inputs, n, rounds, parent, lo, hi,
-                        result, max_violations,
-                    )
-                after = explorer.stats.snapshot()
-                engine_delta.update(
-                    {k: v - before.get(k, 0) for k, v in after.items()}
-                )
-                result.visited = engine_delta.get("visited", 0)
-                result.skipped_symmetric = engine_delta.get(
-                    "skipped_symmetric", 0
-                )
-                result.rounds_executed = engine_delta.get("rounds_executed", 0)
-            else:
+            explorer = IncrementalExplorer(
+                spec.protocol(n),
+                spec.predicate(n),
+                inputs,
+                crashed_stop_emitting=spec.crashed_stop_emitting,
+                prune_decided=payload["prune_decided"],
+                max_d_size=payload["max_d_size"],
+                symmetry=payload["symmetry"],
+                bitset=payload["bitset"],
+                memo=memo,
+            )
+            result.bitset = explorer.bitset
+            if task[0] == "list":
                 for prefix in task[1]:
-                    _explore_serial(
-                        spec, inputs, n, rounds,
-                        prune_decided=payload["prune_decided"],
-                        max_d_size=payload["max_d_size"],
+                    _explore_incremental(
+                        spec, explorer, inputs, n, rounds,
                         result=result, prefix=prefix,
                         max_violations=max_violations,
                     )
@@ -899,6 +664,13 @@ def _scale_task_impl(
                         and len(result.violations) >= max_violations
                     ):
                         break
+            else:
+                _, parent, lo, hi = task
+                _run_range(
+                    spec, explorer, inputs, n, rounds, parent, lo, hi,
+                    result, max_violations,
+                )
+            engine_stats.update(explorer.stats.snapshot())
         finally:
             tracer = obs.current_tracer()
             if tracer.enabled:
@@ -927,10 +699,7 @@ def _scale_task_impl(
         "histories": result.histories,
         "pruned": result.pruned,
         "bitset": result.bitset,
-        "visited": result.visited,
-        "skipped_symmetric": result.skipped_symmetric,
-        "rounds_executed": result.rounds_executed,
-        "engine_stats": engine_delta,
+        "engine_stats": engine_stats,
         "violations": [
             (v.inputs, v.history, [(f.invariant, f.message) for f in v.failures])
             for v in result.violations
@@ -940,7 +709,7 @@ def _scale_task_impl(
 
 
 # ---------------------------------------------------------------------------
-# work-stealing driver
+# the task scheduler
 
 def run_steal(
     spec: ConformanceSpec,
@@ -952,25 +721,27 @@ def run_steal(
     max_d_size: int | None,
     workers: int,
     result: ExploreResult,
-    engine: str,
     symmetry_mode: str | None,
     max_violations: int | None,
-    engine_totals: Any,
+    engine_totals: EngineStats,
     bitset: bool = True,
     progress: bool = False,
     progress_interval: float = 5.0,
 ) -> None:
-    """Drain the fixed task list with a dynamically-fed process pool.
+    """Run the fixed task list in-process, or drain it with a process pool.
 
     Called from :func:`repro.check.explore.explore`; fills ``result`` in
-    place.  Submission is bounded (about two tasks in flight per worker)
-    so early violations can cancel cheaply, and parts are merged in task
-    index order for worker-count-invariant output.
+    place.  One worker runs the tasks in this process, sharing the
+    builder's memo; more start a pool whose workers' memos are seeded from
+    it.  Pool submission is bounded (about two tasks in flight per
+    worker) so early violations can cancel cheaply.  Either way parts are
+    merged in task-index order, so the output does not depend on the
+    worker count.
     """
     observe = obs.current_tracer().enabled or obs.current_metrics().enabled
     payloads, builder_memo, frontier_depth, builder_skipped = _build_tasks(
         spec, input_space, n, rounds,
-        prune_decided=prune_decided, max_d_size=max_d_size, engine=engine,
+        prune_decided=prune_decided, max_d_size=max_d_size,
         symmetry_mode=symmetry_mode, bitset=bitset,
         max_violations=max_violations, observe=observe,
     )
@@ -981,7 +752,6 @@ def run_steal(
         "tasks": len(payloads),
         "tasks_done": 0,
         "frontier_depth": frontier_depth,
-        "shared_table": False,
     }
     parts: dict[int, dict[str, Any]] = {}
     started = time.monotonic()
@@ -1015,10 +785,10 @@ def run_steal(
             file=sys.stderr, flush=True,
         )
 
+    violations_so_far = 0
     if used == 1:
-        # In-process: no pool, no registry requirement, no shared segments —
-        # the builder memo plays the table's role across tasks.
-        violations_so_far = 0
+        # In-process: no pool and no registry requirement; the builder memo
+        # serves every task.
         for index, payload in enumerate(payloads):
             parts[index] = _scale_task_impl(spec, payload, builder_memo)
             violations_so_far += len(parts[index]["violations"])
@@ -1028,101 +798,275 @@ def run_steal(
                 and violations_so_far >= max_violations
             ):
                 break
-        heartbeat(force=True)
     else:
-        try:
-            registered = get_spec(spec.name)
-        except KeyError:
-            registered = None
-        if registered is not spec:
-            raise ValueError(
-                f"workers>1 needs a registered spec; {spec.name!r} is not "
-                "the registered instance (register it, or run with "
-                "workers=1)"
-            )
-        table: SharedMemoTable | None = None
-        try:
-            try:
-                table = SharedMemoTable.create()
-                for key, value in builder_memo._front.items():
-                    table.put(key, value)
-            except Exception:
-                if table is not None:
-                    table.destroy()
-                table = None  # no /dev/shm: workers fall back to local memos
-            result.scale["shared_table"] = table is not None
-            initargs = (
-                list(sys.path),
-                table.handles() if table is not None else None,
-                table.lock if table is not None else None,
-            )
-            with ProcessPoolExecutor(
-                max_workers=used, initializer=_init_scale_worker,
-                initargs=initargs,
-            ) as pool:
-                pending: dict[Any, int] = {}
-                next_index = 0
-                in_flight = used * 2
-                violations_so_far = 0
-                stop = False
-                while pending or (next_index < len(payloads) and not stop):
-                    while (
-                        not stop
-                        and next_index < len(payloads)
-                        and len(pending) < in_flight
-                    ):
-                        future = pool.submit(
-                            _scale_task, payloads[next_index]
-                        )
-                        pending[future] = next_index
-                        next_index += 1
-                    if not pending:
-                        break
-                    done, _ = wait(
-                        set(pending),
-                        timeout=(progress_interval if progress else None),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        index = pending.pop(future)
-                        part = future.result()
-                        parts[index] = part
-                        violations_so_far += len(part["violations"])
-                    if (
-                        max_violations is not None
-                        and violations_so_far >= max_violations
-                    ):
-                        stop = True
-                        for future in pending:
-                            future.cancel()
-                        pending = {}
-                    heartbeat()
-                heartbeat(force=True)
-        finally:
-            if table is not None:
-                table.destroy()
+        _require_registered(spec)
+        with ProcessPoolExecutor(
+            max_workers=used, initializer=_init_scale_worker,
+            initargs=(list(sys.path), builder_memo.packed),
+        ) as pool:
+            pending: dict[Any, int] = {}
+            next_index = 0
+            in_flight = used * 2
+            stop = False
+            while pending or (next_index < len(payloads) and not stop):
+                while (
+                    not stop
+                    and next_index < len(payloads)
+                    and len(pending) < in_flight
+                ):
+                    future = pool.submit(_scale_task, payloads[next_index])
+                    pending[future] = next_index
+                    next_index += 1
+                done, _ = wait(
+                    set(pending),
+                    timeout=(progress_interval if progress else None),
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in done:
+                    index = pending.pop(future)
+                    parts[index] = future.result()
+                    violations_so_far += len(parts[index]["violations"])
+                if (
+                    max_violations is not None
+                    and violations_so_far >= max_violations
+                ):
+                    stop = True
+                    for future in pending:
+                        future.cancel()
+                    pending = {}
+                heartbeat()
+    heartbeat(force=True)
     _merge_parts(spec, result, parts, engine_totals, max_violations)
-    result.scale["tasks_done"] = len(parts)
     result.scale.update({
+        "tasks_done": len(parts),
         "shared_hits": engine_totals.shared_hits,
         "shared_misses": engine_totals.shared_misses,
-        "shared_publishes": engine_totals.shared_publishes,
     })
+
+
+def _require_registered(spec: ConformanceSpec) -> None:
+    """Pool workers re-resolve the spec by name; refuse a stand-in."""
+    try:
+        registered = get_spec(spec.name)
+    except KeyError:
+        registered = None
+    if registered is not spec:
+        raise ValueError(
+            f"workers>1 needs a registered spec; {spec.name!r} is not the "
+            "registered instance (register it, or run with workers=1)"
+        )
+
+
+def _merge_parts(
+    spec: ConformanceSpec,
+    result: ExploreResult,
+    parts: dict[int, dict[str, Any]],
+    engine_totals: EngineStats,
+    max_violations: int | None,
+) -> None:
+    """Fold task part dicts into ``result`` in task-index order.
+
+    Merging in index order — never completion order — is what keeps
+    counters, violation lists and absorbed event streams reproducible for
+    any worker count.
+    """
+    tracer = obs.current_tracer()
+    metrics = obs.current_metrics()
+    for index in sorted(parts):
+        part = parts[index]
+        stats = part["engine_stats"]
+        result.executions += part["executions"]
+        result.histories += part["histories"]
+        result.pruned += part["pruned"]
+        result.bitset = result.bitset or part["bitset"]
+        result.visited += stats["visited"]
+        result.skipped_symmetric += stats["skipped_symmetric"]
+        result.rounds_executed += stats["rounds_executed"]
+        engine_totals.merge(stats)
+        if tracer.enabled and part.get("records"):
+            tracer.absorb(part["records"])
+            tracer.dropped += part.get("dropped", 0)
+        if metrics.enabled and part.get("metrics"):
+            metrics.merge(part["metrics"])
+        for inputs, history, failures in part["violations"]:
+            result.violations.append(Violation(
+                spec.name, tuple(inputs), history,
+                tuple(InvariantFailure(i, m) for i, m in failures),
+            ))
+    if max_violations is not None:
+        del result.violations[max_violations:]
 
 
 # ---------------------------------------------------------------------------
 # disk-backed BFS with checkpoint/resume
 
-def _atomic_json(path: Path, doc: dict[str, Any]) -> None:
+# Files: ``manifest.json``; frontier segments ``*.seg`` — one prefix per
+# line, its packed round ints in decimal, space-separated; task results
+# ``res_*.json``.  Nothing on disk is unpickled or otherwise executed.
+
+_BARE_NAME = re.compile(r"[A-Za-z0-9_]+(\.[A-Za-z0-9_]+)*")
+
+_MANIFEST_KEYS = frozenset(
+    {"version", "fingerprint", "next_task_id", "pending", "done"}
+)
+_PENDING_KEYS = frozenset({"id", "input", "level", "seg", "count"})
+_DONE_KEYS = frozenset({"id", "res", "violations"})
+_RESULT_COUNTS = (
+    "histories", "executions", "pruned", "visited", "rounds_executed",
+)
+_RESULT_KEYS = frozenset(
+    {"task_id", "input", "level", "violations", *_RESULT_COUNTS}
+)
+
+
+def _atomic_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
+    tmp.write_text(text, encoding="ascii")
     os.replace(tmp, path)
 
-def _atomic_pickle(path: Path, doc: Any) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        pickle.dump(doc, handle, protocol=4)
-    os.replace(tmp, path)
+def _atomic_json(path: Path, doc: dict[str, Any]) -> None:
+    _atomic_text(path, json.dumps(doc, indent=1, sort_keys=True))
+
+def _write_segment(path: Path, prefixes: list[tuple[int, ...]]) -> None:
+    _atomic_text(
+        path, "".join(" ".join(map(str, p)) + "\n" for p in prefixes)
+    )
+
+def _nat(value: Any, what: str, top: int | None = None, low: int = 0) -> int:
+    """``value`` as an int in ``[low, top]``, else ``ValueError``."""
+    if type(value) is not int or value < low or (
+        top is not None and value > top
+    ):
+        bound = f">= {low}" if top is None else f"in [{low}, {top}]"
+        raise ValueError(f"{what} must be an int {bound}, got {value!r:.40}")
+    return value
+
+def _bare(name: Any, what: str) -> str:
+    if not isinstance(name, str) or not _BARE_NAME.fullmatch(name):
+        raise ValueError(
+            f"{what} {name!r} is not a bare file name inside the directory"
+        )
+    return name
+
+def _entries(
+    items: Any, keys: frozenset[str], what: str
+) -> list[dict[str, Any]]:
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict) and set(item) == keys for item in items
+    ):
+        raise ValueError(f"{what} must be a list of {sorted(keys)} records")
+    return items
+
+def _check_manifest(
+    doc: Any, *, fingerprint: str, inputs: int, rounds: int
+) -> dict[str, Any]:
+    if not isinstance(doc, dict):
+        raise ValueError("the manifest is not a JSON object")
+    version = doc.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint version {version!r} is not {CHECKPOINT_VERSION!r}"
+        )
+    if doc.get("fingerprint") != fingerprint:
+        raise ValueError(
+            "checkpoint was written for different parameters "
+            "(spec/n/rounds/prune/max_d_size/segment_size/inputs must all "
+            "match to resume)"
+        )
+    if set(doc) != _MANIFEST_KEYS:
+        raise ValueError(f"manifest keys must be {sorted(_MANIFEST_KEYS)}")
+    next_id = _nat(doc["next_task_id"], "next_task_id")
+    for task in _entries(doc["pending"], _PENDING_KEYS, "pending"):
+        _nat(task["id"], "pending id", next_id - 1)
+        _nat(task["input"], "pending input", inputs - 1)
+        _nat(task["level"], "pending level", rounds, low=1)
+        _bare(task["seg"], "pending seg")
+        _nat(task["count"], "pending count")
+    for entry in _entries(doc["done"], _DONE_KEYS, "done"):
+        _nat(entry["id"], "done id", next_id - 1)
+        _bare(entry["res"], "done res")
+        _nat(entry["violations"], "done violations")
+    return doc
+
+def _parse_segment(
+    text: str, *, level: int, count: int, top: int
+) -> list[tuple[int, ...]]:
+    if text and not text.endswith("\n"):
+        raise ValueError("truncated: the last prefix is incomplete")
+    rows = text.split("\n")[:-1]
+    if len(rows) != count:
+        raise ValueError(f"{len(rows)} prefixes, the manifest says {count}")
+    prefixes = []
+    for row in rows:
+        fields = row.split(" ")
+        if len(fields) != level or not all(f.isdigit() for f in fields):
+            raise ValueError(
+                f"prefix {row[:80]!r} is not {level} decimal round ints"
+            )
+        prefix = tuple(map(int, fields))
+        if max(prefix) > top:
+            raise ValueError(f"round int out of range in {row[:80]!r}")
+        prefixes.append(prefix)
+    return prefixes
+
+def _violation(
+    item: Any, rounds: int, top: int
+) -> tuple[tuple[int, ...], list[tuple[str, str]]]:
+    """One ``[[packed history], [[invariant, message], ...]]`` pair."""
+    history, failures = (
+        item if type(item) is list and len(item) == 2 else (None, None)
+    )
+    if not (
+        type(history) is list and 1 <= len(history) <= rounds
+        and type(failures) is list
+        and all(
+            type(f) is list and len(f) == 2
+            and all(type(x) is str for x in f)
+            for f in failures
+        )
+    ):
+        raise ValueError(f"malformed violation {item!r:.80}")
+    phist = tuple(_nat(r, "violation round int", top) for r in history)
+    return phist, [(f[0], f[1]) for f in failures]
+
+def _check_result(
+    doc: Any, *, task_id: int, inputs: int, rounds: int, top: int
+) -> dict[str, Any]:
+    if not isinstance(doc, dict) or set(doc) != _RESULT_KEYS:
+        raise ValueError(f"a result must hold exactly {sorted(_RESULT_KEYS)}")
+    if _nat(doc["task_id"], "task_id") != task_id:
+        raise ValueError(f"result of task {doc['task_id']}, not {task_id}")
+    _nat(doc["input"], "input", inputs - 1)
+    _nat(doc["level"], "level", rounds, low=1)
+    for key in _RESULT_COUNTS:
+        _nat(doc[key], key)
+    if type(doc["violations"]) is not list:
+        raise ValueError("violations must be a list")
+    violations = [_violation(item, rounds, top) for item in doc["violations"]]
+    return {**doc, "violations": violations}
+
+def _load_checkpoint(
+    directory: Path, name: Any, kind: str, **expect: Any
+) -> Any:
+    """Read and validate one checkpoint file — the only checkpoint reader.
+
+    ``kind`` is ``"manifest"``, ``"segment"`` or ``"result"``; ``expect``
+    carries what the file must agree with (fingerprint, counts, bounds).
+    Any defect — a name that is not a bare file name inside ``directory``,
+    a missing or unreadable file, truncation, a wrong type or an
+    out-of-range value — raises :class:`CheckpointError` naming the file.
+    """
+    shown = directory / name if isinstance(name, str) else directory
+    try:
+        text = (directory / _bare(name, "file")).read_text(encoding="ascii")
+        if kind == "segment":
+            return _parse_segment(text, **expect)
+        doc = json.loads(text)
+        if kind == "manifest":
+            return _check_manifest(doc, **expect)
+        return _check_result(doc, **expect)
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise CheckpointError(f"checkpoint file {shown}: {exc}") from None
 
 def _bfs_fingerprint(
     spec: ConformanceSpec,
@@ -1145,13 +1089,10 @@ def _bfs_fingerprint(
 
 def _bfs_task(payload: dict[str, Any]) -> dict[str, Any]:
     """Pool entry for one BFS frontier segment."""
-    shared = _WORKER.get("memo")
-    if shared is None:
-        shared = _WORKER["memo"] = _WorkerMemo(None)
-    return _bfs_task_impl(get_spec(payload["spec"]), payload, shared)
+    return _bfs_task_impl(get_spec(payload["spec"]), payload, _WORKER["memo"])
 
 def _bfs_task_impl(
-    spec: ConformanceSpec, payload: dict[str, Any], shared: _WorkerMemo
+    spec: ConformanceSpec, payload: dict[str, Any], memo: _WorkerMemo
 ) -> dict[str, Any]:
     """Expand/judge one frontier segment; spill children, write results.
 
@@ -1170,8 +1111,10 @@ def _bfs_task_impl(
     segment_size = payload["segment_size"]
     directory = Path(payload["dir"])
     task_id = payload["task_id"]
-    with open(directory / payload["seg"], "rb") as handle:
-        prefixes: list[tuple[int, ...]] = pickle.load(handle)
+    prefixes = _load_checkpoint(
+        directory, payload["seg"], "segment",
+        level=level, count=payload["count"], top=(1 << n * n) - 1,
+    )
     explorer = IncrementalExplorer(
         spec.protocol(n),
         spec.predicate(n),
@@ -1181,8 +1124,8 @@ def _bfs_task_impl(
         max_d_size=payload["max_d_size"],
         symmetry=None,
         bitset=True,
+        memo=memo,
     )
-    explorer.shared_memo = shared
     packed = explorer._packed
     if packed is None:
         raise RuntimeError(
@@ -1195,19 +1138,26 @@ def _bfs_task_impl(
         "task_id": task_id, "input": payload["input_index"], "level": level,
         "histories": 0, "executions": 0, "pruned": 0, "visited": 0,
         "violations": [],  # (packed history, [(invariant, message), ...])
-        "children": [],  # ({"seg": name, "count": int}) next-level segments
     }
-    before = explorer.stats.snapshot()
+    children: list[dict[str, Any]] = []  # next-level {"seg", "count"}
     out: list[tuple[int, ...]] = []
-    spilled = 0
 
     def spill() -> None:
-        nonlocal spilled
-        name = f"seg_{task_id:06d}_{spilled:04d}.pkl"
-        _atomic_pickle(directory / name, out[:segment_size])
-        res["children"].append({"seg": name, "count": len(out[:segment_size])})
+        name = f"seg_{task_id:06d}_{len(children):04d}.seg"
+        _write_segment(directory / name, out[:segment_size])
+        children.append({"seg": name, "count": len(out[:segment_size])})
         del out[:segment_size]
-        spilled += 1
+
+    def expand(prefix: tuple[int, ...], parent_state: object) -> None:
+        state = packed.advance(parent_state, prefix[-1])
+        kids = explorer._admissible_packed(state, level, tracer)
+        if not kids:
+            raise NoAdmissibleExtension(
+                explorer.predicate, dom.unpack_history(prefix)
+            )
+        out.extend(prefix + (kid,) for kid in kids)
+        while len(out) >= segment_size:
+            spill()
 
     index = 0
     total = len(prefixes)
@@ -1226,7 +1176,6 @@ def _bfs_task_impl(
             shared_failures: tuple[Any, ...] | None = None
             for prefix in group:
                 res["visited"] += 1
-                rint = prefix[-1]
                 if level == rounds:
                     res["histories"] += 1
                     res["executions"] += 1
@@ -1240,15 +1189,7 @@ def _bfs_task_impl(
                             (prefix, list(shared_failures))
                         )
                 else:
-                    state = packed.advance(parent_state, rint)
-                    kids = explorer._admissible_packed(state, level, tracer)
-                    if not kids:
-                        raise NoAdmissibleExtension(
-                            explorer.predicate, dom.unpack_history(prefix)
-                        )
-                    out.extend(prefix + (kid,) for kid in kids)
-                    while len(out) >= segment_size:
-                        spill()
+                    expand(prefix, parent_state)
         else:
             stepper = _LeafStepper(explorer, parent_hist)
             for prefix in group:
@@ -1267,27 +1208,16 @@ def _bfs_task_impl(
                             [(f.invariant, f.message) for f in failures],
                         ))
                 else:
-                    state = packed.advance(parent_state, rint)
-                    kids = explorer._admissible_packed(state, level, tracer)
-                    if not kids:
-                        raise NoAdmissibleExtension(
-                            explorer.predicate, dom.unpack_history(prefix)
-                        )
-                    out.extend(prefix + (kid,) for kid in kids)
-                    while len(out) >= segment_size:
-                        spill()
+                    expand(prefix, parent_state)
         index = j
     while out:
         spill()
-    after = explorer.stats.snapshot()
-    res["engine_stats"] = {
-        k: v - before.get(k, 0) for k, v in after.items()
-    }
-    res_name = f"res_{task_id:06d}.pkl"
-    _atomic_pickle(directory / res_name, res)
+    res["rounds_executed"] = explorer.stats.rounds_executed
+    res_name = f"res_{task_id:06d}.json"
+    _atomic_json(directory / res_name, res)
     return {
         "res": res_name,
-        "children": res["children"],
+        "children": children,
         "histories": res["histories"],
         "violations": len(res["violations"]),
     }
@@ -1310,10 +1240,12 @@ def explore_bfs(
 ) -> ExploreResult:
     """Breadth-first exhaustive certification with a disk-backed frontier.
 
-    The frontier lives on disk as pickle segments; a JSON manifest (format
-    ``rrfd-checkpoint-v1``) tracks pending and completed tasks and is
-    rewritten atomically after every completion, so the search survives a
-    kill at any point.  Pass ``checkpoint=DIR`` to persist — then
+    The frontier lives on disk as flat segments of packed round ints; a
+    JSON manifest (format ``rrfd-checkpoint-v2``) tracks pending and
+    completed tasks and is rewritten atomically after every completion, so
+    the search survives a kill at any point.  Every file is read back
+    through one validator: a truncated, tampered or foreign checkpoint
+    raises :class:`CheckpointError` naming the file.  Pass ``checkpoint=DIR`` to persist — then
     ``resume=True`` (CLI: ``repro check --bfs --checkpoint DIR --resume``)
     re-runs only the pending tasks and produces the same counts and
     violation set as an uninterrupted run.  ``max_tasks`` bounds one
@@ -1373,18 +1305,11 @@ def explore_bfs(
                 raise ValueError(
                     f"no checkpoint manifest at {manifest_path}"
                 )
-            manifest = json.loads(manifest_path.read_text())
-            if manifest.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(
-                    f"checkpoint version {manifest.get('version')!r} != "
-                    f"{CHECKPOINT_VERSION!r}"
-                )
-            if manifest.get("fingerprint") != fingerprint:
-                raise ValueError(
-                    "checkpoint was written for different parameters "
-                    "(spec/n/rounds/prune/max_d_size/segment_size/inputs "
-                    "must all match to resume)"
-                )
+            manifest = _load_checkpoint(
+                directory, manifest_path.name, "manifest",
+                fingerprint=fingerprint, inputs=len(input_space),
+                rounds=rounds,
+            )
         else:
             if manifest_path.exists():
                 raise ValueError(
@@ -1393,17 +1318,16 @@ def explore_bfs(
                 )
             pending: list[dict[str, Any]] = []
             next_id = 0
-            for input_index, _inputs in enumerate(input_space):
-                roots = packed.admissible_round_ints(
-                    (), max_d_size=max_d_size
-                )
-                if not roots:
-                    raise NoAdmissibleExtension(predicate, ())
-                for chunk in _contiguous_chunks(
-                    [(rint,) for rint in roots], -(-len(roots) // segment_size)
-                ):
-                    name = f"seg_root_{input_index:03d}_{next_id:06d}.pkl"
-                    _atomic_pickle(directory / name, chunk)
+            roots = packed.admissible_round_ints((), max_d_size=max_d_size)
+            if not roots:
+                raise NoAdmissibleExtension(predicate, ())
+            chunks = _contiguous_chunks(
+                [(rint,) for rint in roots], -(-len(roots) // segment_size)
+            )
+            for input_index in range(len(input_space)):
+                for chunk in chunks:
+                    name = f"seg_root_{input_index:03d}_{next_id:06d}.seg"
+                    _write_segment(directory / name, chunk)
                     pending.append({
                         "id": next_id, "input": input_index, "level": 1,
                         "seg": name, "count": len(chunk),
@@ -1444,10 +1368,9 @@ def explore_bfs(
                 "input_index": task["input"],
                 "n": n, "rounds": rounds,
                 "prune_decided": prune_decided, "max_d_size": max_d_size,
-                "engine": "incremental", "symmetry": None, "bitset": True,
                 "dir": str(directory), "task_id": task["id"],
                 "level": task["level"], "seg": task["seg"],
-                "segment_size": segment_size,
+                "count": task["count"], "segment_size": segment_size,
             }
 
         def on_done(task: dict[str, Any], summary: dict[str, Any]) -> None:
@@ -1502,20 +1425,11 @@ def explore_bfs(
             )
 
         if workers > 1 and pending:
-            try:
-                registered = get_spec(spec.name)
-            except KeyError:
-                registered = None
-            if registered is not spec:
-                raise ValueError(
-                    f"workers>1 needs a registered spec; {spec.name!r} is "
-                    "not the registered instance (register it, or run with "
-                    "workers=1)"
-                )
+            _require_registered(spec)
             result.workers = workers
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_scale_worker,
-                initargs=(list(sys.path), None, None),
+                initargs=(list(sys.path), None),
             ) as pool:
                 in_flight: dict[Any, dict[str, Any]] = {}
                 while (pending or in_flight) and not stop:
@@ -1540,7 +1454,7 @@ def explore_bfs(
                         stop = True
         else:
             result.workers = 1
-            memo = _WorkerMemo(None)
+            memo = _WorkerMemo()
             while pending and not budget_spent():
                 task = pending[0]
                 on_done(
@@ -1555,16 +1469,17 @@ def explore_bfs(
         # scheduling noise, the sort makes the output worker-count-proof.
         collected: list[tuple[int, tuple[int, ...], list[Any]]] = []
         levels = 1
+        top = (1 << n * n) - 1
         for entry in sorted(done, key=lambda e: e["id"]):
-            with open(directory / entry["res"], "rb") as handle:
-                res = pickle.load(handle)
+            res = _load_checkpoint(
+                directory, entry["res"], "result", task_id=entry["id"],
+                inputs=len(input_space), rounds=rounds, top=top,
+            )
             result.histories += res["histories"]
             result.executions += res["executions"]
             result.pruned += res["pruned"]
             result.visited += res["visited"]
-            result.rounds_executed += res["engine_stats"].get(
-                "rounds_executed", 0
-            )
+            result.rounds_executed += res["rounds_executed"]
             levels = max(levels, res["level"])
             for phist, failures in res["violations"]:
                 collected.append((res["input"], phist, failures))

@@ -220,12 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--rounds", type=int, default=None,
                        help="history depth (default: per-spec)")
     check.add_argument("--workers", type=int, default=1,
-                       help="parallelize the exhaustive search")
-    check.add_argument("--scheduler", choices=("steal", "static"),
-                       default=None,
-                       help="parallel scheduler: work-stealing task pool "
-                       "(steal, default for workers>1) or the legacy "
-                       "static round-1 frontier split")
+                       help="drain the exhaustive search's task list with "
+                       "this many processes (replay always runs in-process)")
     check.add_argument("--progress", action="store_true",
                        help="emit a periodic check.progress heartbeat "
                        "(obs event + stderr line) during exhaustive runs")
@@ -756,8 +752,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     spec, n=args.n, rounds=args.rounds,
                     prune_decided=args.prune_decided, workers=args.workers,
                     engine=args.engine, symmetry=not args.no_symmetry,
-                    bitset=not args.no_bitset, scheduler=args.scheduler,
-                    progress=args.progress,
+                    bitset=not args.no_bitset, progress=args.progress,
                 )
         print(result.summary())
         for violation in result.violations[:10]:

@@ -638,7 +638,9 @@ class ServiceEndpoint:
                     break
                 kind = frame.get("kind")
                 if kind == "hello":
-                    src = int(frame["src"])
+                    src = frame.get("src")
+                    if type(src) is not int or not 0 <= src < cfg.n:
+                        raise FrameError(f"hello from bad src {src!r:.40}")
                     continue
                 if src is None:
                     continue  # pre-hello garbage
@@ -649,10 +651,17 @@ class ServiceEndpoint:
                     continue  # a crashed receiver hears nothing
                 now = self.runtime.clock()
                 self.suspicion.heard(src, now)
-                messages = frame["m"] if kind == "batch" else [frame["m"]]
+                message = frame.get("m")
+                messages = message if kind == "batch" else [message]
+                if type(messages) is not list:
+                    raise FrameError("batch frame without a message list")
                 for message in messages:
                     await self._dispatch(src, message)
-        except (FrameError, ConnectionError, OSError):
+        except FrameError:
+            # Counted, and the link is closed; a well-behaved sender's link
+            # reconnects and retransmits.
+            self.stats.frames_rejected += 1
+        except (ConnectionError, OSError):
             pass  # the sender's link will reconnect and retransmit
         finally:
             try:
@@ -660,26 +669,32 @@ class ServiceEndpoint:
             except Exception:
                 pass
 
-    async def _dispatch(self, src: int, message: dict[str, Any]) -> None:
-        tag = message.get("t")
-        if tag == "hb":
-            return
-        instance = message.get("i")
-        round_number = int(message.get("r", 0))
+    async def _dispatch(self, src: int, message: Any) -> None:
+        # Parse first: a wrong-shaped message (not an object, a non-integer
+        # round, an unhashable instance, an undecodable payload) is a
+        # FrameError, rejected like any other bad frame.  Applying it below
+        # stays outside the try, so a fault there is not taken for one.
+        try:
+            tag = message.get("t")
+            if tag == "hb":
+                return
+            instance = message.get("i")
+            round_number = int(message.get("r", 0))
+            participant = self.participants.get(instance)
+            if tag == "data" and participant is not None:
+                payload = decode_payload(message["p"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FrameError(f"malformed message: {exc!r:.80}") from None
         if tag == "data":
             self.stats.messages_delivered += 1
-            participant = self.participants.get(instance)
             if participant is not None:
-                participant.on_data(
-                    src, round_number, decode_payload(message["p"])
-                )
+                participant.on_data(src, round_number, payload)
             # Ack every data delivery, duplicates included — the sender's
             # earlier ack may have been lost (the reliable overlay's rule).
             link = self.links.get(src)
             if link is not None:
                 await link.send({"t": "ack", "i": instance, "r": round_number})
         elif tag == "ack":
-            participant = self.participants.get(instance)
             if participant is not None:
                 participant.on_ack(src, round_number)
 

@@ -279,6 +279,7 @@ class ServiceStats:
 
     frames_sent: int = 0
     frames_received: int = 0
+    frames_rejected: int = 0  # oversized, non-JSON or wrong-shaped frames
     batches_sent: int = 0
     messages_sent: int = 0
     messages_delivered: int = 0
@@ -303,8 +304,8 @@ class ServiceStats:
     queue_high_water: int = field(default=0, compare=False)
 
     _COUNTER_FIELDS = (
-        "frames_sent", "frames_received", "batches_sent", "messages_sent",
-        "messages_delivered", "messages_dropped_chaos",
+        "frames_sent", "frames_received", "frames_rejected", "batches_sent",
+        "messages_sent", "messages_delivered", "messages_dropped_chaos",
         "messages_dropped_crash", "messages_partition_blocked",
         "messages_duplicated", "messages_delayed", "delay_spikes", "retries",
         "retransmissions", "reconnects", "send_failures", "heartbeats_sent",

@@ -88,9 +88,14 @@ class TestExhaustive:
 
 
 class TestParallel:
+    # kset n=3 is a single task (no round-1 child is undecided), so the
+    # pool is exercised with floodset n=3 (8 inputs, 64 tasks) and with
+    # kset n=4 pruned (a 4 235-child round-1 frontier, 64 tasks).
+
     def test_workers_match_serial_exactly(self):
-        serial = explore("kset", n=3)
-        parallel = explore("kset", n=3, workers=2)
+        serial = explore("floodset", n=3)
+        parallel = explore("floodset", n=3, workers=2)
+        assert parallel.workers == 2
         assert parallel.histories == serial.histories
         assert parallel.executions == serial.executions
         assert parallel.ok == serial.ok
@@ -104,8 +109,10 @@ class TestParallel:
         )
         register(weak)
         try:
-            serial = explore(weak, n=3)
-            parallel = explore(weak, n=3, workers=2)
+            serial = explore(weak, n=4, prune_decided=True)
+            parallel = explore(weak, n=4, prune_decided=True, workers=2)
+            assert parallel.workers == 2
+            assert serial.violations
             assert len(parallel.violations) == len(serial.violations)
             assert {(v.inputs, v.history) for v in parallel.violations} == {
                 (v.inputs, v.history) for v in serial.violations
@@ -114,19 +121,20 @@ class TestParallel:
             del _REGISTRY[weak.name]
 
     def test_unregistered_spec_with_workers_rejected(self):
-        weak = get_spec("kset").weakened(lambda n: CrashSync(n, 1))
+        weak = get_spec("kset").weakened(lambda n: CrashSync(n, 2))
         with pytest.raises(ValueError, match="registered"):
-            explore(weak, n=3, workers=2)
+            explore(weak, n=4, workers=2)
 
     def test_parallel_prune_decided_matches_serial(self):
-        serial = explore("kset", n=3, prune_decided=True)
-        parallel = explore("kset", n=3, prune_decided=True, workers=2)
+        serial = explore("kset", n=4, prune_decided=True)
+        parallel = explore("kset", n=4, prune_decided=True, workers=2)
+        assert parallel.workers == 2
         assert parallel.histories == serial.histories
         assert parallel.pruned == serial.pruned
 
     def test_workers_records_actual_use_not_the_request(self):
         # f=0 admits exactly one round-1 suspicion assignment (all empty),
-        # so the frontier collapses to a single chunk: four requested
+        # so the task list collapses to a single task: four requested
         # workers must be reported as the one actually used.
         import dataclasses
 
@@ -137,7 +145,7 @@ class TestParallel:
             exhaustive_inputs=lambda n: [tuple(range(n))],
         )
         # `solo` is unregistered: reaching a result at all proves the pool
-        # (whose registry check would reject it) was skipped for one chunk
+        # (whose registry check would reject it) was skipped for one task
         result = explore(solo, n=3, workers=4)
         assert result.workers == 1
         assert result.histories == 1
@@ -145,11 +153,10 @@ class TestParallel:
 
     def test_single_chunk_run_matches_serial(self):
         serial = explore("kset", n=3)
-        # 62 round-1 prefixes but workers=1 requested through the parallel
-        # entry point is the serial path; compare against a many-worker run
+        # kset n=3 is one task, so 16 requested workers run it in-process.
         parallel = explore("kset", n=3, workers=16)
         assert parallel.executions == serial.executions
-        assert parallel.workers <= 16
+        assert parallel.workers == 1
 
 
 class TestFuzz:

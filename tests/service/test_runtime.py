@@ -20,6 +20,7 @@ from repro.service.runtime import (
     resolve_protocol,
     run_service,
 )
+from repro.service.transport import FrameError, encode_frame
 from repro.substrates.messaging.chaos import (
     CrashWindow,
     FaultPlan,
@@ -294,3 +295,97 @@ class TestRuntimeLifecycle:
         assert snap["frames_sent"] > 0
         assert snap["messages_delivered"] > 0
         assert snap["queue_high_water"] >= 1
+
+
+class TestMalformedFrames:
+    def test_wrong_shaped_frames_are_counted_and_never_escape(self):
+        """Each wrong-shaped frame closes its link with a counted rejection;
+        none reaches the loop's exception handler, and the runtime that
+        received them still decides an instance."""
+        hello = {"kind": "hello", "src": 1}
+        connections = [
+            [hello, {"kind": "data"}],  # no "m"
+            [hello, {"kind": "single", "m": 7}],  # message not an object
+            [hello, {"kind": "single",
+                     "m": {"t": "data", "i": "c0", "r": "nan", "p": 1}}],
+            [{"kind": "hello", "src": "zz"}],
+        ]
+
+        async def scenario():
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context)
+            )
+            config = ServiceConfig(n=4, f=1, seed=3)
+            async with ServiceRuntime(config) as runtime:
+                target = runtime.endpoints[0]
+                for frames in connections:
+                    reader, writer = await asyncio.open_connection(
+                        config.host, target.port
+                    )
+                    writer.write(b"".join(encode_frame(doc) for doc in frames))
+                    await writer.drain()
+                    assert await reader.read() == b""  # the link is closed
+                    writer.close()
+                    await writer.wait_closed()
+                result = await runtime.run_instance(
+                    InstanceSpec("c0", "consensus", inputs=(1, 0, 1, 1))
+                )
+                return escaped, target.stats.frames_rejected, result
+
+        escaped, rejected, result = asyncio.run(scenario())
+        assert result.outcome is InstanceOutcome.DECIDED
+        assert rejected == 4
+        assert escaped == []
+
+    def test_non_json_and_oversized_frames_are_counted(self):
+        async def scenario():
+            config = ServiceConfig(n=3, f=1, max_frame=64)
+            async with ServiceRuntime(config) as runtime:
+                target = runtime.endpoints[0]
+                hello = encode_frame({"kind": "hello", "src": 1})
+                for body in (b"not json", b"x" * 65):
+                    reader, writer = await asyncio.open_connection(
+                        config.host, target.port
+                    )
+                    writer.write(hello + len(body).to_bytes(4, "big") + body)
+                    await writer.drain()
+                    assert await reader.read() == b""
+                    writer.close()
+                    await writer.wait_closed()
+                return target.stats.frames_rejected, runtime.stats
+
+        rejected, stats = asyncio.run(scenario())
+        assert rejected == 2
+        assert stats.snapshot()["frames_rejected"] == 2
+
+    def test_only_parsing_is_guarded(self):
+        """A fault while applying a well-formed message propagates as
+        itself; only a message that does not parse is a FrameError."""
+
+        class Faulty:
+            def on_data(self, src, round_number, payload):
+                raise TypeError("participant fault")
+
+        async def scenario():
+            async with ServiceRuntime(ServiceConfig(n=3, f=1)) as runtime:
+                endpoint = runtime.endpoints[0]
+                endpoint.participants["c0"] = Faulty()
+                try:
+                    message = {"t": "data", "i": "c0", "r": 1, "p": 5}
+                    with pytest.raises(TypeError, match="participant fault"):
+                        await endpoint._dispatch(1, message)
+                    for bad in (
+                        dict(message, r="nan"),  # non-integer round
+                        dict(message, i=["c0"]),  # unhashable instance
+                        {"t": "data", "i": "c0", "r": 1},  # no payload
+                        [message],  # not an object
+                    ):
+                        with pytest.raises(FrameError):
+                            await endpoint._dispatch(1, bad)
+                finally:
+                    del endpoint.participants["c0"]
+                return endpoint.stats.messages_delivered
+
+        # Nothing that failed to parse was counted as delivered.
+        assert asyncio.run(scenario()) == 1
